@@ -38,7 +38,7 @@
  * with exactly zero allocations.
  *
  * Timing uses wall-clock (std::chrono::steady_clock); bench/ is
- * measurement code, outside simlint's no-wall-clock rule for src/.
+ * measurement code, waived from dcslint's ambient-time rule below.
  */
 // dcslint: allow-file(ambient-time-randomness): host wall-clock timing is
 // the measurement this bench exists to take; it never feeds simulated state.

@@ -27,7 +27,7 @@
  * --json report (tools/check_bench_schema.py validates the output).
  *
  * Timing uses wall-clock (std::chrono::steady_clock); bench/ is
- * measurement code, outside simlint's no-wall-clock rule for src/.
+ * measurement code, waived from dcslint's ambient-time rule below.
  */
 // dcslint: allow-file(ambient-time-randomness): host wall-clock timing is
 // the measurement this bench exists to take; it never feeds simulated state.

@@ -26,7 +26,7 @@ class DcsCtrlPath : public DataPath
              std::vector<std::uint8_t> aux, host::TracePtr trace,
              PathCallback done) override
     {
-        const bool digest = digestBearing(fn);
+        const bool digest = ndp::functionInfo(fn).digestSize > 0;
         node.hdcLib().sendFile(file_fd, sock_fd, offset, len, fn,
                                std::move(aux), digest, trace,
                                [done = std::move(done)](
@@ -41,7 +41,7 @@ class DcsCtrlPath : public DataPath
                   std::vector<std::uint8_t> aux, host::TracePtr trace,
                   PathCallback done) override
     {
-        const bool digest = digestBearing(fn);
+        const bool digest = ndp::functionInfo(fn).digestSize > 0;
         node.hdcLib().recvFile(sock_fd, file_fd, offset, len, fn,
                                std::move(aux), digest, trace,
                                [done = std::move(done)](
@@ -51,20 +51,6 @@ class DcsCtrlPath : public DataPath
     }
 
   private:
-    static bool
-    digestBearing(ndp::Function fn)
-    {
-        switch (fn) {
-          case ndp::Function::Md5:
-          case ndp::Function::Sha1:
-          case ndp::Function::Sha256:
-          case ndp::Function::Crc32:
-            return true;
-          default:
-            return false;
-        }
-    }
-
     sys::Node &node;
 };
 

@@ -12,23 +12,6 @@ using host::LatComp;
 
 namespace {
 
-std::size_t
-digestSizeOf(ndp::Function fn)
-{
-    switch (fn) {
-      case ndp::Function::Md5:
-        return 16;
-      case ndp::Function::Sha1:
-        return 20;
-      case ndp::Function::Sha256:
-        return 32;
-      case ndp::Function::Crc32:
-        return 4;
-      default:
-        return 0;
-    }
-}
-
 constexpr std::uint32_t kMaxBlocksPerCmd = 256; // 1 MiB NVMe commands
 constexpr std::uint32_t kMss = 8960;
 
@@ -148,7 +131,7 @@ SwBasePath::gpuProcess(ndp::Function fn, Addr data_bus, std::uint64_t len,
 {
     auto &host = node.host();
     auto &gpu = node.gpu();
-    const bool passthrough = ndp::isPassThrough(fn);
+    const bool passthrough = ndp::functionInfo(fn).passThrough();
     const std::uint64_t gpu_in =
         in_gpu ? data_bus - gpu.memBase() : gpuSlot();
     const std::uint64_t gpu_out =
@@ -177,6 +160,14 @@ SwBasePath::gpuProcess(ndp::Function fn, Addr data_bus, std::uint64_t len,
                     [this, &host, &gpu, fn, gpu_in, gpu_out, digest_off,
                      copy_back, passthrough, data_bus, trace, t_kernel,
                      done = std::move(done)](std::uint64_t out_len) mutable {
+                        // Variable-length output must fit the slot's
+                        // output half; past it lies the next slot.
+                        if (out_len > gpuSlotBytes / 2)
+                            panic("sw-path: %s output of %llu B overruns "
+                                  "its %llu B GPU staging half-slot",
+                                  ndp::functionInfo(fn).name,
+                                  (unsigned long long)out_len,
+                                  (unsigned long long)(gpuSlotBytes / 2));
                         if (trace)
                             trace->add(LatComp::Hash,
                                        host.cpu().now() - t_kernel);
@@ -191,7 +182,7 @@ SwBasePath::gpuProcess(ndp::Function fn, Addr data_bus, std::uint64_t len,
                                     trace->add(LatComp::GpuControl,
                                                host.cpu().now() - t_sync);
                                 std::vector<std::uint8_t> digest(
-                                    digestSizeOf(fn));
+                                    ndp::functionInfo(fn).digestSize);
                                 if (!digest.empty())
                                     gpu.mem().read(digest_off,
                                                    digest.data(),
@@ -383,9 +374,8 @@ SwBasePath::sendFile(int file_fd, int sock_fd, std::uint64_t offset,
                                     send_from_host(len, {});
                                     return;
                                 }
-                                gpuProcess(fn, slot, len, false,
-                                           !ndp::isPassThrough(fn), aux,
-                                           trace,
+                                gpuProcess(fn, slot, len, false, true,
+                                           aux, trace,
                                            [send_from_host = std::move(
                                                 send_from_host)](
                                                std::vector<std::uint8_t>
@@ -493,8 +483,7 @@ SwBasePath::receiveToFile(int sock_fd, int file_fd, std::uint64_t offset,
                 }
                 // Receive side always stages through host memory: the
                 // data-gathering problem prevents NIC->GPU P2P.
-                gpuProcess(fn, slot_in, len, false,
-                           !ndp::isPassThrough(fn), aux, trace,
+                gpuProcess(fn, slot_in, len, false, true, aux, trace,
                            [store = std::move(store)](
                                std::vector<std::uint8_t> digest,
                                std::uint64_t out_len,

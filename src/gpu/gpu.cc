@@ -29,33 +29,8 @@ Gpu::busRead(Addr addr, std::span<std::uint8_t> data)
 Tick
 Gpu::computeTime(ndp::Function fn, std::uint64_t len) const
 {
-    double gbps;
-    switch (fn) {
-      case ndp::Function::Md5:
-        gbps = _params.md5Gbps;
-        break;
-      case ndp::Function::Sha1:
-        gbps = _params.sha1Gbps;
-        break;
-      case ndp::Function::Sha256:
-        gbps = _params.sha256Gbps;
-        break;
-      case ndp::Function::Crc32:
-        gbps = _params.crc32Gbps;
-        break;
-      case ndp::Function::Aes256:
-        gbps = _params.aesGbps;
-        break;
-      case ndp::Function::Gzip:
-      case ndp::Function::Gunzip:
-        gbps = _params.gzipGbps;
-        break;
-      case ndp::Function::None:
-        return nanoseconds(0);
-      default:
-        panic("gpu: unknown function");
-    }
-    return transferTime(len, gbps);
+    const double gbps = ndp::functionInfo(fn).gpuGbps;
+    return gbps > 0 ? transferTime(len, gbps) : 0;
 }
 
 void

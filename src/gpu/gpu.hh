@@ -24,17 +24,14 @@
 namespace dcs {
 namespace gpu {
 
-/** Timing knobs (defaults ~ Tesla K20m for streaming byte kernels). */
+/**
+ * Timing knobs. Kernel throughputs (~ Tesla K20m for streaming byte
+ * kernels) are the function table's gpuGbps column.
+ */
 struct GpuParams
 {
     std::uint64_t memBytes = 4ull << 30;
     Tick kernelLaunch = microseconds(9); //!< driver->device launch cost
-    double md5Gbps = 18.0;
-    double sha1Gbps = 14.0;
-    double sha256Gbps = 11.0;
-    double crc32Gbps = 60.0;
-    double aesGbps = 55.0;
-    double gzipGbps = 8.0;
 };
 
 /** The GPU endpoint: BAR-exposed memory + a kernel execution engine. */

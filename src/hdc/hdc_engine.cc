@@ -568,7 +568,8 @@ HdcEngine::buildPipeline(CmdRecord &ac)
     const auto src = static_cast<Endpoint>(cmd.srcDev);
     const auto dst = static_cast<Endpoint>(cmd.dstDev);
     const auto fn = static_cast<ndp::Function>(cmd.fn);
-    const bool passthru = ndp::isPassThrough(fn);
+    const ndp::FunctionInfo &fn_info = ndp::functionInfo(fn);
+    const bool passthru = fn_info.passThrough();
     const std::uint64_t chunk = _params.chunkSize;
 
     if (cmd.len == 0)
@@ -576,8 +577,7 @@ HdcEngine::buildPipeline(CmdRecord &ac)
     if (src == Endpoint::HdcBuffer && dst == Endpoint::HdcBuffer &&
         fn == ndp::Function::None)
         panic("%s: degenerate buffer-to-buffer copy", name().c_str());
-    if ((fn == ndp::Function::Gzip || fn == ndp::Function::Gunzip) &&
-        dst == Endpoint::Ssd)
+    if (fn_info.variableLength && dst == Endpoint::Ssd)
         panic("%s: variable-length output to SSD is not supported",
               name().c_str());
 
@@ -725,8 +725,7 @@ HdcEngine::buildPipeline(CmdRecord &ac)
                 send_id;
             last_op = send_id;
             dst_entries = 1;
-            if (ndp_id &&
-                (fn == ndp::Function::Gzip || fn == ndp::Function::Gunzip))
+            if (ndp_id && fn_info.variableLength)
                 ac.lenInherit.push_back({ndp_id, send_id});
         } else if (dst == Endpoint::Ssd) {
             std::uint64_t run_off = 0;

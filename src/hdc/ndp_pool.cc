@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "hdc/hdc_engine.hh"
-#include "ndp/aes256.hh"
-#include "ndp/deflate.hh"
 #include "sim/logging.hh"
 
 namespace dcs {
@@ -57,25 +55,16 @@ NdpPool::beginCommand(std::uint32_t cmd_id, ndp::Function fn,
     s.fn = fn;
     s.aux.assign(aux.data(), aux.size());
     s.resultSlotOff = result_slot_off;
-    switch (fn) {
-      case ndp::Function::Md5:
-      case ndp::Function::Sha1:
-      case ndp::Function::Sha256:
-      case ndp::Function::Crc32:
-        // Reuse the slot's cached hash object when the algorithm
-        // matches; reset() restores the initial state without an
-        // allocation.
+    // Digest functions reuse the slot's cached hash object when the
+    // algorithm matches; reset() restores the initial state without an
+    // allocation. Other functions carry no hash state.
+    if (const auto new_hash = ndp::functionInfo(fn).newHash) {
         if (s.hash && s.hashFn == fn) {
             s.hash->reset();
         } else {
-            s.hash = ndp::makeHash(ndp::functionName(fn));
+            s.hash = new_hash();
             s.hashFn = fn;
         }
-        break;
-      // Non-digest functions carry no hash state.
-      // dcslint: allow(silent-switch-default): no hash state to reset
-      default:
-        break;
     }
     // Pin the stream to a unit round-robin.
     UnitSet &us = unitsOf(fn);
@@ -121,74 +110,39 @@ NdpPool::issue(const Entry &e)
 
     engine.schedule(finish - engine.now(), [this, e, aux] {
         StreamSlot &stream = streamOf(e.cmdId, "finish");
+        const ndp::FunctionInfo &fn = ndp::functionInfo(stream.fn);
 
         // Functional processing over shared views of engine DRAM —
         // the payload is not copied out of the buffers.
         const BufChain input = engine.dram().borrow(e.src, e.len);
         std::uint64_t out_len = e.len;
 
-        switch (stream.fn) {
-          case ndp::Function::Md5:
-          case ndp::Function::Sha1:
-          case ndp::Function::Sha256:
-          case ndp::Function::Crc32: {
-            // Digests stream per segment; pass-through moves views.
-            for (const Buffer &seg : input.segments())
-                stream.hash->update(seg.span());
+        if (fn.passThrough()) {
+            // Pass-through moves views; digests stream per segment.
             if (e.dst != e.src)
                 engine.dram().adopt(e.dst, input);
-            if (aux.last) {
-                const auto digest = stream.hash->finish();
-                engine.writeResult(e.cmdId, digest);
+            if (fn.newHash) {
+                for (const Buffer &seg : input.segments())
+                    stream.hash->update(seg.span());
+                if (aux.last)
+                    engine.writeResult(e.cmdId, stream.hash->finish());
             }
-            break;
-          }
-          case ndp::Function::Aes256: {
-            if (stream.aux.size() < ndp::Aes256::keySize + 8)
-                panic("hdc.ndp: aes command without key material");
-            std::uint64_t nonce = 0;
-            for (int i = 0; i < 8; ++i)
-                nonce |= std::uint64_t(
-                             stream.aux[ndp::Aes256::keySize + i])
-                         << (8 * i);
-            // CTR seek to the chunk's stream offset.
-            ndp::Aes256Ctr ctr({stream.aux.data(), ndp::Aes256::keySize},
-                               nonce);
-            ctr.seek(aux.streamOffset);
-            // Encrypt segment-by-segment into one fresh output slab
-            // (the keystream carries across calls), then install it.
-            Buffer out = Buffer::allocate(e.len);
-            std::uint8_t *op = out.mutableData();
-            for (const Buffer &seg : input.segments()) {
-                ctr.transformInto(seg.span(), op);
-                op += seg.size();
-            }
-            engine.dram().adopt(e.dst, BufChain(std::move(out)));
-            break;
-          }
-          case ndp::Function::Gzip: {
-            const Buffer flat = input.flatten();
-            auto out = ndp::gzipCompress(flat.span());
+        } else {
+            // Each chunk is transformed on its own: AES-CTR seeks to
+            // the chunk's stream offset, gzip emits one member.
+            auto out = fn.kernel(input, {stream.aux.data(), stream.aux.size()},
+                                 aux.streamOffset);
             out_len = out.size();
+            // The output lands in one engine chunk buffer; anything
+            // longer would overwrite the neighbouring chunk.
+            const std::uint64_t cap = engine.params().chunkSize;
+            if (out_len > cap)
+                panic("hdc.ndp: cmd %u: %s output of %llu B overruns its "
+                      "%llu B chunk buffer",
+                      e.cmdId, fn.name, (unsigned long long)out_len,
+                      (unsigned long long)cap);
             engine.dram().adopt(
                 e.dst, BufChain(Buffer::fromVector(std::move(out))));
-            break;
-          }
-          case ndp::Function::Gunzip: {
-            const Buffer flat = input.flatten();
-            auto out = ndp::gzipDecompress(flat.span());
-            out_len = out.size();
-            engine.dram().adopt(
-                e.dst, BufChain(Buffer::fromVector(std::move(out))));
-            break;
-          }
-          case ndp::Function::None: {
-            if (e.dst != e.src)
-                engine.dram().adopt(e.dst, input);
-            break;
-          }
-          default:
-            panic("hdc.ndp: unsupported function");
         }
 
         if (onComplete)

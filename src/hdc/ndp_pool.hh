@@ -117,7 +117,7 @@ class NdpPool
     std::array<StreamSlot, kStreams> streams;
     std::size_t liveStreams = 0;
     /** Indexed by (int)Function; sized lazily on first use. */
-    std::array<UnitSet, 8> units;
+    std::array<UnitSet, ndp::functionCount> units;
     std::uint64_t chunks = 0;
 
     StreamSlot &streamOf(std::uint32_t cmd_id, const char *what);

@@ -7,38 +7,19 @@
 namespace dcs {
 namespace hdc {
 
-namespace {
-
-// Paper Table III. LUT/register percentages are the totals required
-// to reach 10 Gbps (multiple instances of non-pipelined cores, or a
-// single instance of the fully pipelined ones).
-const NdpUnitSpec kSpecs[] = {
-    {ndp::Function::Md5, 3.00, 0.69, 130.0, 0.97},
-    {ndp::Function::Sha1, 3.49, 1.13, 235.0, 1.10},
-    {ndp::Function::Sha256, 4.28, 1.23, 130.0, 0.80},
-    {ndp::Function::Aes256, 3.52, 0.99, 250.0, 40.90},
-    {ndp::Function::Crc32, 0.03, 0.01, 250.0, 10.0},
-    {ndp::Function::Gzip, 5.36, 2.09, 178.0, 100.0},
-    // Decompression is modelled with the GZIP core's figures.
-    {ndp::Function::Gunzip, 5.36, 2.09, 178.0, 100.0},
-};
-
-} // namespace
-
-const NdpUnitSpec &
+const ndp::FunctionInfo &
 ndpSpec(ndp::Function fn)
 {
-    for (const auto &s : kSpecs)
-        if (s.fn == fn)
-            return s;
-    panic("no NDP unit spec for function '%s'",
-          ndp::functionName(fn).c_str());
+    const ndp::FunctionInfo &s = ndp::functionInfo(fn);
+    if (s.perUnitGbps <= 0)
+        panic("no NDP unit spec for function '%s'", s.name);
+    return s;
 }
 
 int
 ndpUnitsFor(ndp::Function fn, double target_gbps)
 {
-    const NdpUnitSpec &s = ndpSpec(fn);
+    const ndp::FunctionInfo &s = ndpSpec(fn);
     return static_cast<int>(std::ceil(target_gbps / s.perUnitGbps));
 }
 
@@ -54,7 +35,7 @@ baseEngineResources()
 ResourceReport
 ndpResources(ndp::Function fn, double target_gbps)
 {
-    const NdpUnitSpec &s = ndpSpec(fn);
+    const ndp::FunctionInfo &s = ndpSpec(fn);
     const double scale = target_gbps / 10.0;
     ResourceReport r;
     r.luts = static_cast<std::uint64_t>(virtex7Luts * s.lutPct / 100.0 *

@@ -60,18 +60,12 @@ struct HdcTiming
     }
 };
 
-/** One NDP IP core's figures (paper Table III). */
-struct NdpUnitSpec
-{
-    ndp::Function fn;
-    double lutPct;        //!< Virtex-7 slice-LUT share per 10 Gbps
-    double regPct;        //!< slice-register share per 10 Gbps
-    double maxClockMhz;   //!< post-timing-analysis clock
-    double perUnitGbps;   //!< throughput of a single IP core
-};
-
-/** Table III rows. @return spec for @p fn. */
-const NdpUnitSpec &ndpSpec(ndp::Function fn);
+/**
+ * The function-table row of @p fn, whose Table III fields (lutPct,
+ * regPct, maxClockMhz, perUnitGbps) describe its NDP IP core. Panics
+ * for a function with no NDP unit.
+ */
+const ndp::FunctionInfo &ndpSpec(ndp::Function fn);
 
 /** Units required for @p fn to reach @p target_gbps aggregate. */
 int ndpUnitsFor(ndp::Function fn, double target_gbps = 10.0);

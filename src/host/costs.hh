@@ -75,9 +75,6 @@ struct KernelCosts
     /** HDC Driver: completion IRQ handling + user wakeup. */
     Tick hdcComplete = microseconds(4.0);
 
-    /** CPU-side hash/checksum throughput (GB/s), when not offloaded. */
-    double cpuHashGBps = 2.0;
-
     /** Application-level request handling (parse REST, bookkeeping). */
     Tick appRequestWork = microseconds(5.0);
 };

@@ -137,6 +137,17 @@ class Buffer
     static Buffer fromVector(std::vector<std::uint8_t> v);
 
     /**
+     * A non-owning view of @p bytes, which must outlive the view (e.g.
+     * to run a chain-based kernel over a caller's span). Like the zero
+     * slab, mutableData() copies first.
+     */
+    static Buffer
+    view(std::span<const std::uint8_t> bytes)
+    {
+        return Buffer(nullptr, bytes.data(), bytes.size());
+    }
+
+    /**
      * A view of the shared all-zeros slab (absent sparse-memory
      * pages read as zero without materializing). @p n is capped by
      * zeroCapacity, the largest Memory page size.

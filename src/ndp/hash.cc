@@ -1,9 +1,6 @@
 #include "ndp/hash.hh"
 
-#include "ndp/crc32.hh"
-#include "ndp/md5.hh"
-#include "ndp/sha1.hh"
-#include "ndp/sha256.hh"
+#include "ndp/transform.hh"
 #include "sim/logging.hh"
 
 namespace dcs {
@@ -25,14 +22,9 @@ toHex(std::span<const std::uint8_t> digest)
 std::unique_ptr<HashFunction>
 makeHash(const std::string &algorithm)
 {
-    if (algorithm == "md5")
-        return std::make_unique<Md5>();
-    if (algorithm == "sha1")
-        return std::make_unique<Sha1>();
-    if (algorithm == "sha256")
-        return std::make_unique<Sha256>();
-    if (algorithm == "crc32")
-        return std::make_unique<Crc32>();
+    for (const FunctionInfo &f : functionTable())
+        if (f.newHash && algorithm == f.name)
+            return f.newHash();
     fatal("unknown hash algorithm '%s'", algorithm.c_str());
 }
 

@@ -53,7 +53,7 @@ class HashFunction
 /** Render a digest as lowercase hex. */
 std::string toHex(std::span<const std::uint8_t> digest);
 
-/** Factory by name: "md5", "sha1", "sha256", "crc32". */
+/** Factory by name: a digest function's ndp::functionName(). */
 std::unique_ptr<HashFunction> makeHash(const std::string &algorithm);
 
 } // namespace ndp

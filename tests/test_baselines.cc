@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures.hh"
+#include "ndp/deflate.hh"
 
 namespace dcs {
 namespace {
@@ -64,7 +65,28 @@ TEST_P(DesignSendTest, SendFileDeliversBytesAndDigest)
 INSTANTIATE_TEST_SUITE_P(
     DesignsAndAlgos, DesignSendTest,
     ::testing::Combine(::testing::Values("sw-opt", "sw-p2p", "dcs-ctrl"),
-                       ::testing::Values("md5", "crc32")));
+                       ::testing::Values("md5", "crc32", "sha1",
+                                         "sha256")));
+
+TEST_F(BaselineTest, GpuOutputOverrunningItsStagingSlotDies)
+{
+    // 17 MiB of zeros gzip to ~110 KB; inflating them on the GPU would
+    // spill past the 16 MiB output half of the staging slot.
+    const auto packed =
+        ndp::gzipCompress(std::vector<std::uint8_t>(17u << 20, 0));
+    bringUp(false);
+    auto path = makePath("sw-opt", nodeA());
+    const int fd = nodeA().fs().create("zeros.gz", packed);
+    sinkAtB();
+    EXPECT_DEATH(
+        {
+            path->sendFile(fd, connA->fd, 0, packed.size(),
+                           ndp::Function::Gunzip, {}, nullptr,
+                           [](const baselines::PathResult &) {});
+            eq.run();
+        },
+        "gunzip output of [0-9]+ B overruns its 16777216 B GPU staging");
+}
 
 class DesignRecvTest : public BaselineTest,
                        public ::testing::WithParamInterface<const char *>

@@ -213,6 +213,26 @@ TEST_F(DcsE2eTest, GzipCompressedTransferInflates)
     EXPECT_EQ(inflated, content);
 }
 
+TEST_F(DcsE2eTest, GzipChunkOutputOverrunDies)
+{
+    // Random bytes do not compress: each 64 KiB chunk gzips to ~69 KB,
+    // more than the engine chunk buffer its output lands in. Writing
+    // it anyway would overwrite the neighbouring chunk.
+    bringUp(true);
+    auto content = test::randomBytes(4 * 65536, 5);
+    const int fd = nodeA().fs().create("noise", content);
+    sinkAtB();
+    EXPECT_DEATH(
+        {
+            nodeA().hdcLib().sendFile(fd, connA->fd, 0, content.size(),
+                                      ndp::Function::Gzip, {}, false,
+                                      nullptr,
+                                      [](const hdclib::D2dResult &) {});
+            eq.run();
+        },
+        "gzip output of [0-9]+ B overruns its 65536 B chunk buffer");
+}
+
 TEST_F(DcsE2eTest, FragmentedFileSpansExtents)
 {
     bringUp(true);

@@ -176,6 +176,17 @@ TEST(GpuModel, ComputeTimeScalesWithSizeAndFunction)
     // CRC is far cheaper than SHA-256 per byte on the model.
     EXPECT_LT(g.computeTime(ndp::Function::Crc32, 65536),
               g.computeTime(ndp::Function::Sha256, 65536));
+
+    // Exact K20m rates: 64 KiB at 18/14/11/60/55/8 Gbps, rounded up to
+    // whole ticks; pass-through runs no kernel work.
+    EXPECT_EQ(g.computeTime(ndp::Function::None, 65536), 0u);
+    EXPECT_EQ(g.computeTime(ndp::Function::Md5, 65536), 29127112u);
+    EXPECT_EQ(g.computeTime(ndp::Function::Sha1, 65536), 37449143u);
+    EXPECT_EQ(g.computeTime(ndp::Function::Sha256, 65536), 47662546u);
+    EXPECT_EQ(g.computeTime(ndp::Function::Crc32, 65536), 8738134u);
+    EXPECT_EQ(g.computeTime(ndp::Function::Aes256, 65536), 9532510u);
+    EXPECT_EQ(g.computeTime(ndp::Function::Gzip, 65536), 65536001u);
+    EXPECT_EQ(g.computeTime(ndp::Function::Gunzip, 65536), 65536001u);
 }
 
 TEST(GpuModel, KernelsSerializeOnTheEngine)

@@ -187,9 +187,28 @@ TEST_F(ScoreboardTest, SetEntryLenBeforeIssue)
 
 TEST(NdpSpecs, TableIiiThroughputs)
 {
-    EXPECT_DOUBLE_EQ(ndpSpec(ndp::Function::Md5).perUnitGbps, 0.97);
-    EXPECT_DOUBLE_EQ(ndpSpec(ndp::Function::Aes256).perUnitGbps, 40.90);
-    EXPECT_DOUBLE_EQ(ndpSpec(ndp::Function::Gzip).perUnitGbps, 100.0);
+    // Every NDP row's Table III figures: LUT%, REG%, clock, Gbps/unit.
+    const struct
+    {
+        ndp::Function fn;
+        double lutPct, regPct, maxClockMhz, perUnitGbps;
+    } rows[] = {
+        {ndp::Function::Md5, 3.00, 0.69, 130.0, 0.97},
+        {ndp::Function::Sha1, 3.49, 1.13, 235.0, 1.10},
+        {ndp::Function::Sha256, 4.28, 1.23, 130.0, 0.80},
+        {ndp::Function::Crc32, 0.03, 0.01, 250.0, 10.0},
+        {ndp::Function::Aes256, 3.52, 0.99, 250.0, 40.90},
+        {ndp::Function::Gzip, 5.36, 2.09, 178.0, 100.0},
+        {ndp::Function::Gunzip, 5.36, 2.09, 178.0, 100.0},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(ndp::functionName(row.fn));
+        const auto &s = ndpSpec(row.fn);
+        EXPECT_DOUBLE_EQ(s.lutPct, row.lutPct);
+        EXPECT_DOUBLE_EQ(s.regPct, row.regPct);
+        EXPECT_DOUBLE_EQ(s.maxClockMhz, row.maxClockMhz);
+        EXPECT_DOUBLE_EQ(s.perUnitGbps, row.perUnitGbps);
+    }
     // Units needed for 10 Gbps.
     EXPECT_EQ(ndpUnitsFor(ndp::Function::Md5), 11);
     EXPECT_EQ(ndpUnitsFor(ndp::Function::Sha1), 10);

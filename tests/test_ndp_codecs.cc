@@ -282,11 +282,28 @@ TEST(Gzip, RejectsBadHeader)
 
 TEST(Transform, NamesRoundTrip)
 {
+    const auto &data = test_data();
+    const std::vector<std::uint8_t> aes_aux(40, 0x11); // key + nonce
+    const auto gz = gzipCompress(data);
     for (Function fn : {Function::None, Function::Md5, Function::Sha1,
                         Function::Sha256, Function::Crc32,
                         Function::Aes256, Function::Gzip,
-                        Function::Gunzip})
+                        Function::Gunzip}) {
+        SCOPED_TRACE(functionName(fn));
         EXPECT_EQ(functionFromName(functionName(fn)), fn);
+
+        // The row's descriptors match what the transform does.
+        const FunctionInfo &info = functionInfo(fn);
+        EXPECT_EQ(info.fn, fn);
+        const std::vector<std::uint8_t> &in =
+            fn == Function::Gunzip ? gz : data;
+        const auto aux = fn == Function::Aes256
+                             ? std::span<const std::uint8_t>(aes_aux)
+                             : std::span<const std::uint8_t>();
+        const auto r = applyTransform(fn, in, aux);
+        EXPECT_EQ(info.digestSize, r.digest.size());
+        EXPECT_EQ(info.passThrough(), r.data == in);
+    }
 }
 
 TEST(Transform, HashPassThroughKeepsPayload)
@@ -295,8 +312,8 @@ TEST(Transform, HashPassThroughKeepsPayload)
     auto r = applyTransform(Function::Md5, data);
     EXPECT_EQ(r.data, data);
     EXPECT_EQ(r.digest.size(), 16u);
-    EXPECT_TRUE(isPassThrough(Function::Md5));
-    EXPECT_FALSE(isPassThrough(Function::Aes256));
+    EXPECT_TRUE(functionInfo(Function::Md5).passThrough());
+    EXPECT_FALSE(functionInfo(Function::Aes256).passThrough());
 }
 
 TEST(Transform, AesRoundTripViaDispatcher)

@@ -10,8 +10,7 @@ simulation. Two engines implement one rule catalog (dcslint/rules.py):
           fallback when libclang is unavailable.
 
 Entry point: ``python3 tools/dcslint <paths>`` (see cli.py), or import
-``dcslint.cli``. tools/simlint.py remains the last-resort fallback if
-this package itself cannot run (see tools/lint_gate.py).
+``dcslint.cli``; the ctest gate is tools/lint_gate.py.
 """
 
 __version__ = "1.0"

@@ -1,18 +1,10 @@
 #!/usr/bin/env python3
-"""Determinism-lint ctest gate with automatic engine fallback.
+"""Determinism-lint ctest gate.
 
-Preference order:
-
-  1. tools/dcslint (primary) — clang engine when clang.cindex +
-     libclang are importable, else its built-in zero-dependency syntax
-     engine. dcslint handles that choice itself (--engine auto).
-  2. tools/simlint.py (last resort) — the original regex lint, used
-     only if the dcslint package cannot even be imported (e.g. a
-     partial checkout).
-
-Arguments are passed through unchanged (paths to lint, plus any
-dcslint flags when dcslint is selected; simlint only receives the
-paths).
+Runs tools/dcslint, which picks its engine itself (--engine auto): the
+clang engine when clang.cindex + libclang are importable, else its
+built-in zero-dependency syntax engine. Arguments (paths to lint plus
+any dcslint flags) are passed through unchanged.
 """
 
 import pathlib
@@ -23,15 +15,7 @@ TOOLS = pathlib.Path(__file__).resolve().parent
 
 def main(argv):
     sys.path.insert(0, str(TOOLS))
-    try:
-        from dcslint import cli
-    except Exception as exc:  # pragma: no cover - degraded environment
-        sys.stderr.write(
-            "lint_gate: dcslint unavailable (%s); "
-            "falling back to simlint\n" % exc)
-        import simlint
-        paths = [a for a in argv if not a.startswith("-")]
-        return simlint.main(paths)
+    from dcslint import cli
     return cli.run(argv)
 
 
