@@ -28,6 +28,9 @@ enum class Endpoint : std::uint8_t
     HostMem,   //!< host DRAM bus address (for staging scenarios)
 };
 
+/** Depth of the engine's D2D command queue (paper §IV-C). */
+constexpr std::uint32_t cmdQueueEntries = 64;
+
 /** Flag bits in D2dCommand::flags. */
 namespace d2dflags {
 constexpr std::uint8_t wantDigest = 0x1; //!< return digest to result slot
@@ -36,7 +39,7 @@ constexpr std::uint8_t wantDigest = 0x1; //!< return digest to result slot
 /** Wire format of one D2D command (64 bytes). */
 struct D2dCommand
 {
-    std::uint32_t id = 0;          //!< driver-assigned unique id
+    std::uint32_t id = 0;          //!< driver-assigned; see cmdSlot()
     std::uint8_t srcDev = 0;       //!< Endpoint
     std::uint8_t dstDev = 0;       //!< Endpoint
     std::uint8_t fn = 0;           //!< ndp::Function between src and dst
@@ -54,6 +57,20 @@ struct D2dCommand
     std::uint16_t rsvd = 0;
 };
 static_assert(sizeof(D2dCommand) == 64, "D2D command must be 64 bytes");
+
+/**
+ * The slot of command @p id: the one index of all per-command state —
+ * the driver's pending entry and staging, the engine's command record,
+ * NDP stream and result slot. Invariant: unique among live commands.
+ * The driver issues only ids whose slot is free and frees a slot once
+ * the completion or NACK is handled and the result slot read, when
+ * the engine has retired the command whatever the completion order.
+ */
+constexpr std::uint32_t
+cmdSlot(std::uint32_t id)
+{
+    return id % cmdQueueEntries;
+}
 
 /** One extent-list record: (LBA, block count) pairs, 16 bytes each. */
 struct ExtentRec

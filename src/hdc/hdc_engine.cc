@@ -250,7 +250,7 @@ HdcEngine::cmdSlotBus(std::uint32_t idx) const
 Addr
 HdcEngine::resultSlotBus(std::uint32_t cmd_id) const
 {
-    return _bar + resultOff + (cmd_id % cmdQueueEntries) * resultSlotSize;
+    return _bar + resultOff + cmdSlot(cmd_id) * resultSlotSize;
 }
 
 void
@@ -409,14 +409,8 @@ HdcEngine::admitCommand(const D2dCommand &cmd) const
 HdcEngine::CmdRecord *
 HdcEngine::findActive(std::uint32_t cmd_id)
 {
-    CmdRecord &rec = cmdPool[cmd_id % cmdQueueEntries];
+    CmdRecord &rec = cmdPool[cmdSlot(cmd_id)];
     return (rec.inUse && rec.cmd.id == cmd_id) ? &rec : nullptr;
-}
-
-const HdcEngine::CmdRecord *
-HdcEngine::findActive(std::uint32_t cmd_id) const
-{
-    return const_cast<HdcEngine *>(this)->findActive(cmd_id);
 }
 
 HdcEngine::CmdRecord &
@@ -432,7 +426,7 @@ HdcEngine::requireActive(std::uint32_t cmd_id, const char *what)
 HdcEngine::CmdRecord &
 HdcEngine::claimRecord(const D2dCommand &cmd)
 {
-    CmdRecord &rec = cmdPool[cmd.id % cmdQueueEntries];
+    CmdRecord &rec = cmdPool[cmdSlot(cmd.id)];
     if (rec.inUse)
         panic("%s: command pool slot collision: %u vs live %u",
               name().c_str(), cmd.id, rec.cmd.id);
@@ -582,9 +576,7 @@ HdcEngine::buildPipeline(CmdRecord &ac)
               name().c_str());
 
     if (fn != ndp::Function::None)
-        _ndp->beginCommand(cmd.id, fn,
-                           {ac.aux.data(), ac.aux.size()},
-                           (cmd.id % cmdQueueEntries) * resultSlotSize);
+        _ndp->beginCommand(cmd.id, fn, {ac.aux.data(), ac.aux.size()});
 
     std::uint32_t base_seq = 0;
     if (src == Endpoint::Nic)
@@ -802,7 +794,7 @@ void
 HdcEngine::writeResult(std::uint32_t cmd_id,
                        std::span<const std::uint8_t> digest)
 {
-    const std::uint64_t slot = (cmd_id % cmdQueueEntries) * resultSlotSize;
+    const std::uint64_t slot = cmdSlot(cmd_id) * resultSlotSize;
     const std::uint32_t status = 1;
     const auto len = static_cast<std::uint32_t>(digest.size());
     results.write(slot, &status, 4);
@@ -886,8 +878,8 @@ HdcEngine::notifyCompletion(std::uint32_t cmd_id, std::uint64_t flow,
     }
     // Coalesced: park the id in the BAR completion ring; one MSI
     // covers every pending entry once the window fills or the holdoff
-    // expires. The driver's outstanding-command cap (< ring size)
-    // bounds undelivered entries, so the ring cannot overrun.
+    // expires. The driver holds each command's slot until its entry is
+    // drained, so undelivered entries stay below the ring size.
     std::memcpy(cplRingRaw.data() +
                     (cplProduced % cmdQueueEntries) * 4,
                 &value, 4);

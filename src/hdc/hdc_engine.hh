@@ -101,7 +101,6 @@ class HdcEngine : public pcie::Device
     /** Fixed offsets in the engine's single BAR. */
     static constexpr std::uint64_t regDoorbell = 0x0;
     static constexpr std::uint64_t cmdQueueOff = 0x1000;
-    static constexpr std::uint32_t cmdQueueEntries = 64;
     static constexpr std::uint64_t resultOff = 0x2000;
     static constexpr std::uint64_t resultSlotSize = 64;
     /** Coalesced-completion ring: cmdQueueEntries x 4 B command ids
@@ -242,12 +241,12 @@ class HdcEngine : public pcie::Device
     };
 
     /**
-     * Pooled per-command record. One slot per command-queue entry,
-     * addressed by cmd.id % cmdQueueEntries (ids are monotonic and the
-     * driver keeps fewer than cmdQueueEntries outstanding, so a live
-     * slot is never re-claimed). The small vectors keep the common
-     * chunk counts inline and retain spilled capacity across
-     * occupants, so steady-state command processing never allocates.
+     * Pooled per-command record at cmdSlot(cmd.id). The driver keeps
+     * that slot unique among live commands (see cmdSlot()), so a live
+     * record is never re-claimed; a collision is a driver fault. The
+     * small vectors keep the common chunk counts inline and retain
+     * spilled capacity across occupants, so steady-state command
+     * processing never allocates.
      */
     struct CmdRecord
     {
@@ -265,7 +264,6 @@ class HdcEngine : public pcie::Device
 
     /** Live record for @p cmd_id, or nullptr. */
     CmdRecord *findActive(std::uint32_t cmd_id);
-    const CmdRecord *findActive(std::uint32_t cmd_id) const;
     /** Live record for @p cmd_id; panics naming @p what if absent. */
     CmdRecord &requireActive(std::uint32_t cmd_id, const char *what);
     /** Claim and reset the pool slot for a newly admitted command. */
@@ -331,7 +329,6 @@ class HdcEngine : public pcie::Device
     std::uint32_t cmdParsed = 0; //!< engine consumer index
     bool parserBusy = false;
 
-    /** Command-state pool: slot = cmd.id % cmdQueueEntries. */
     std::array<CmdRecord, cmdQueueEntries> cmdPool;
     std::size_t activeCount = 0;
     RingDeque<std::uint32_t> completionOrder; //!< in-order notification

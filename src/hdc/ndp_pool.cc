@@ -8,9 +8,6 @@
 namespace dcs {
 namespace hdc {
 
-static_assert(NdpPool::kStreams == HdcEngine::cmdQueueEntries,
-              "stream slots must mirror the engine command queue");
-
 NdpPool::NdpPool(HdcEngine &engine, const HdcTiming &timing,
                  double target_gbps)
     : engine(engine), timing(timing), targetGbps(target_gbps)
@@ -35,7 +32,7 @@ NdpPool::unitsOf(ndp::Function fn)
 NdpPool::StreamSlot &
 NdpPool::streamOf(std::uint32_t cmd_id, const char *what)
 {
-    StreamSlot &s = streams[cmd_id % kStreams];
+    StreamSlot &s = streams[cmdSlot(cmd_id)];
     if (!s.inUse || s.cmdId != cmd_id)
         panic("hdc.ndp: %s for unregistered command %u", what, cmd_id);
     return s;
@@ -43,10 +40,9 @@ NdpPool::streamOf(std::uint32_t cmd_id, const char *what)
 
 void
 NdpPool::beginCommand(std::uint32_t cmd_id, ndp::Function fn,
-                      std::span<const std::uint8_t> aux,
-                      std::uint64_t result_slot_off)
+                      std::span<const std::uint8_t> aux)
 {
-    StreamSlot &s = streams[cmd_id % kStreams];
+    StreamSlot &s = streams[cmdSlot(cmd_id)];
     if (s.inUse)
         panic("hdc.ndp: stream slot collision: %u vs live %u", cmd_id,
               s.cmdId);
@@ -54,7 +50,6 @@ NdpPool::beginCommand(std::uint32_t cmd_id, ndp::Function fn,
     s.inUse = true;
     s.fn = fn;
     s.aux.assign(aux.data(), aux.size());
-    s.resultSlotOff = result_slot_off;
     // Digest functions reuse the slot's cached hash object when the
     // algorithm matches; reset() restores the initial state without an
     // allocation. Other functions carry no hash state.

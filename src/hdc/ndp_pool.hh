@@ -8,10 +8,9 @@
  * commands run on different units in parallel — which is exactly how
  * the paper reaches 10 Gbps from sub-Gbps cores.
  *
- * Stream state is pooled: one slot per engine command-queue entry,
- * addressed by cmd_id modulo the pool size, with hash objects cached
- * per slot and reset() between occupants — steady-state command churn
- * touches no hash-object or map allocation.
+ * Stream state is pooled at the command's slot (cmdSlot()), with hash
+ * objects cached per slot and reset() between occupants — steady-state
+ * command churn touches no hash-object or map allocation.
  */
 
 #ifndef DCS_HDC_NDP_POOL_HH
@@ -23,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "hdc/d2d_command.hh"
 #include "hdc/scoreboard.hh"
 #include "hdc/timing.hh"
 #include "ndp/hash.hh"
@@ -57,20 +57,12 @@ struct NdpAux
 class NdpPool
 {
   public:
-    /** Stream-slot count; must match the engine's command queue so
-     *  cmd_id % kStreams is collision-free among live commands. */
-    static constexpr std::uint32_t kStreams = 64;
-
     NdpPool(HdcEngine &engine, const HdcTiming &timing,
             double target_gbps = 10.0);
 
-    /**
-     * Begin a streamed command. @p result_slot_off is the engine
-     * BRAM offset where the final digest (if any) is deposited.
-     */
+    /** Begin a streamed command; a digest lands in its result slot. */
     void beginCommand(std::uint32_t cmd_id, ndp::Function fn,
-                      std::span<const std::uint8_t> aux,
-                      std::uint64_t result_slot_off);
+                      std::span<const std::uint8_t> aux);
 
     /** Process one chunk (scoreboard entry with DevClass::NdpUnit). */
     void issue(const Entry &e);
@@ -100,7 +92,6 @@ class NdpPool
         /** Cached hash object, reset() between occupants. */
         std::unique_ptr<ndp::HashFunction> hash;
         ndp::Function hashFn = ndp::Function::None;
-        std::uint64_t resultSlotOff = 0;
         int unit = -1;
     };
 
@@ -114,7 +105,7 @@ class NdpPool
     const HdcTiming &timing;
     double targetGbps;
 
-    std::array<StreamSlot, kStreams> streams;
+    std::array<StreamSlot, cmdQueueEntries> streams;
     std::size_t liveStreams = 0;
     /** Indexed by (int)Function; sized lazily on first use. */
     std::array<UnitSet, ndp::functionCount> units;

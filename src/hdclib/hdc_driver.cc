@@ -66,8 +66,8 @@ HdcDriver::fsOf(std::uint8_t ssd_idx)
 void
 HdcDriver::init(Addr ssd_bar0, Addr nic_bar0, std::function<void()> done)
 {
-    extArena = host.allocDma(maxOutstanding * 4096);
-    auxArena = host.allocDma(maxOutstanding * 256);
+    extArena = host.allocDma(hdc::cmdQueueEntries * 4096);
+    auxArena = host.allocDma(hdc::cmdQueueEntries * 256);
 
     hdc::HdcDeviceConfig cfg;
     cfg.ssdBar0 = ssd_bar0;
@@ -170,8 +170,7 @@ HdcDriver::stageExtents(const D2dRequest &req, hdc::D2dCommand &cmd)
         return 0;
     if (recs.size() * sizeof(hdc::ExtentRec) > 4096)
         fatal("hdcdrv: extent list exceeds staging slot (too fragmented)");
-    const Addr slot =
-        extArena + std::uint64_t(cmd.id % maxOutstanding) * 4096;
+    const Addr slot = extArena + std::uint64_t(hdc::cmdSlot(cmd.id)) * 4096;
     host.dram().write(host.dramOffset(slot), recs.data(),
                       recs.size() * sizeof(hdc::ExtentRec));
     cmd.extListAddr = slot;
@@ -184,10 +183,7 @@ HdcDriver::submit(const D2dRequest &req, host::TracePtr trace,
 {
     if (!_ready)
         panic("%s: submit before init", name().c_str());
-    // Count commands admitted but still in the deferred lookup stage:
-    // a same-tick burst must not slip past the gate while inflight is
-    // momentarily empty (the 64-slot command ring would wrap).
-    if (inflight.size() + preparing >= maxOutstanding) {
+    if (liveSlots >= maxOutstanding) {
         if (rejectOnFull) {
             // Load-generator posture: 429 instead of a panic. The
             // command never reaches the engine, so no queue slot, no
@@ -201,8 +197,8 @@ HdcDriver::submit(const D2dRequest &req, host::TracePtr trace,
             });
             return;
         }
-        panic("%s: command queue oversubscribed (%zu outstanding)",
-              name().c_str(), inflight.size());
+        panic("%s: command queue oversubscribed (%u outstanding)",
+              name().c_str(), liveSlots);
     }
 
     const Tick t0 = now();
@@ -236,7 +232,14 @@ HdcDriver::submit(const D2dRequest &req, host::TracePtr trace,
         return;
     }
 
-    ++preparing;
+    // Claim the command's slot: the next id whose slot is free. Ids
+    // skip slots still held by older commands.
+    while (slots[hdc::cmdSlot(nextCmdId)].live)
+        ++nextCmdId;
+    const std::uint32_t id = nextCmdId++;
+    slots[hdc::cmdSlot(id)] = Pending{true, false, id, trace, std::move(done),
+                                      req.wantDigest, 0, req.traceFlow};
+    ++liveSlots;
 
     // Metadata retrieval: VFS extent lookup for file endpoints
     // (also covers the page-cache consistency check, §IV-B).
@@ -246,14 +249,13 @@ HdcDriver::submit(const D2dRequest &req, host::TracePtr trace,
         touches_fs ? host.costs().vfsLookup : nanoseconds(200);
 
     host.cpu().run(CpuCat::FileSystem, meta_cost, [this, req, trace, t0,
-                                                   done =
-                                                       std::move(done)]() mutable {
+                                                   id] {
         if (trace)
             trace->add(LatComp::FileSystem, now() - t0);
         const Tick t1 = now();
 
         hdc::D2dCommand cmd{};
-        cmd.id = nextCmdId++;
+        cmd.id = id;
         cmd.srcDev = static_cast<std::uint8_t>(req.src);
         cmd.dstDev = static_cast<std::uint8_t>(req.dst);
         cmd.fn = static_cast<std::uint8_t>(req.fn);
@@ -305,7 +307,7 @@ HdcDriver::submit(const D2dRequest &req, host::TracePtr trace,
 
         if (!req.aux.empty()) {
             const Addr slot =
-                auxArena + std::uint64_t(cmd.id % maxOutstanding) * 256;
+                auxArena + std::uint64_t(hdc::cmdSlot(id)) * 256;
             host.dram().write(host.dramOffset(slot), req.aux.data(),
                               req.aux.size());
             cmd.auxAddr = slot;
@@ -318,9 +320,7 @@ HdcDriver::submit(const D2dRequest &req, host::TracePtr trace,
             tracer().bindFlow(trace::key(engine.name(), cmd.id),
                               req.traceFlow);
 
-        --preparing;
-        inflight[cmd.id] = Pending{trace, std::move(done), req.wantDigest,
-                                   now(), req.traceFlow};
+        slots[hdc::cmdSlot(id)].submitTick = now();
         ++submitted;
 
         // Driver submit: build + forward the command (one 64-byte
@@ -332,12 +332,9 @@ HdcDriver::submit(const D2dRequest &req, host::TracePtr trace,
                                           now() - t1);
                            std::vector<std::uint8_t> raw(sizeof(cmd));
                            std::memcpy(raw.data(), &cmd, sizeof(cmd));
-                           const std::uint32_t slot_idx =
-                               (cmd.id - 1) %
-                               hdc::HdcEngine::cmdQueueEntries;
                            host.fabric().memWrite(host.bridge(),
                                                   engine.cmdSlotBus(
-                                                      slot_idx),
+                                                      cmdRingTail++),
                                                   std::move(raw), {});
                            // Attribution boundary: the doorbell value
                            // is posted here; the batcher's "doorbell"
@@ -345,7 +342,7 @@ HdcDriver::submit(const D2dRequest &req, host::TracePtr trace,
                            // the gap is the batch-holdoff stage.
                            TRACE_FLOW(tracer(), now(), name(),
                                       "db_post", flow);
-                           dbBatch.post(cmd.id, flow);
+                           dbBatch.post(cmdRingTail, flow);
                            TRACE_SPAN_END(tracer(), now(), name(),
                                           "submit", flow);
                        });
@@ -384,17 +381,15 @@ HdcDriver::drainCplRing(std::uint32_t produced, Tick t_irq)
     if (static_cast<std::int32_t>(produced - cplConsumed) <= 0)
         return;
     const std::uint32_t span = produced - cplConsumed;
-    if (span > hdc::HdcEngine::cmdQueueEntries)
+    if (span > hdc::cmdQueueEntries)
         panic("%s: completion ring overrun (%u entries behind)",
               name().c_str(), span);
-    const std::uint32_t start =
-        cplConsumed % hdc::HdcEngine::cmdQueueEntries;
+    const std::uint32_t start = cplConsumed % hdc::cmdQueueEntries;
     cplConsumed = produced;
 
     // The window may wrap the ring: at most two contiguous bulk reads
     // replace per-command MSIs — that is the point of coalescing.
-    const std::uint32_t first =
-        std::min(span, hdc::HdcEngine::cmdQueueEntries - start);
+    const std::uint32_t first = std::min(span, hdc::cmdQueueEntries - start);
     const Addr ring = engine.bar() + hdc::HdcEngine::cplRingOff;
     auto handle = [this, t_irq](const BufChain &raw, std::uint32_t n) {
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -421,18 +416,18 @@ HdcDriver::drainCplRing(std::uint32_t produced, Tick t_irq)
 void
 HdcDriver::finishCommand(std::uint32_t cmd_id, bool rejected, Tick t_irq)
 {
-    auto it = inflight.find(cmd_id);
-    if (it == inflight.end())
+    Pending &p = slots[hdc::cmdSlot(cmd_id)];
+    if (!p.live || p.id != cmd_id || p.completing)
         panic("%s: completion for unknown command %u", name().c_str(),
               cmd_id);
-    Pending p = std::move(it->second);
-    inflight.erase(it);
+    p.completing = true;
     TRACE_FLOW(tracer(), t_irq, name(), "msi", p.flow);
     tracer().unbindFlow(trace::key(engine.name(), cmd_id));
 
     host.cpu().run(
         CpuCat::HdcDriver, host.costs().hdcComplete,
-        [this, cmd_id, rejected, p = std::move(p), t_irq] {
+        [this, cmd_id, rejected, t_irq] {
+            const Pending &p = slots[hdc::cmdSlot(cmd_id)];
             if (p.trace) {
                 // Engine-side time: submit end -> IRQ.
                 const Tick submit_end =
@@ -441,45 +436,46 @@ HdcDriver::finishCommand(std::uint32_t cmd_id, bool rejected, Tick t_irq)
                     p.trace->add(LatComp::Read, t_irq - submit_end);
                 p.trace->add(LatComp::RequestCompletion, now() - t_irq);
             }
-            if (rejected) {
-                // Admission NACK: no data moved, no result slot.
+            D2dResult r;
+            r.cmdId = cmd_id;
+            if (rejected || !p.wantDigest) {
+                // An admission NACK moved no data and filled no result
+                // slot.
                 TRACE_SPAN(tracer(), t_irq, now() - t_irq, name(),
                            "complete", p.flow);
-                D2dResult r;
-                r.cmdId = cmd_id;
-                r.status = 429;
-                if (p.done)
-                    p.done(r);
-                return;
-            }
-            if (!p.wantDigest) {
-                TRACE_SPAN(tracer(), t_irq, now() - t_irq, name(),
-                           "complete", p.flow);
-                if (p.done)
-                    p.done(D2dResult{cmd_id, {}});
+                r.status = rejected ? 429 : 0;
+                releaseSlot(r);
                 return;
             }
             // Fetch the digest from the engine's result slot.
             host.fabric().memRead(
                 host.bridge(), engine.resultSlotBus(cmd_id),
                 hdc::HdcEngine::resultSlotSize,
-                [this, cmd_id, t_irq, flow = p.flow,
-                 done = std::move(p.done)](BufChain raw) {
+                [this, r, t_irq](BufChain raw) mutable {
                     std::uint32_t status = 0, len = 0;
                     raw.copyOut(0, &status, 4);
                     raw.copyOut(4, &len, 4);
-                    D2dResult r;
-                    r.cmdId = cmd_id;
                     if (status == 1 && len <= raw.size() - 8) {
                         r.digest.resize(len);
                         raw.copyOut(8, r.digest.data(), len);
                     }
                     TRACE_SPAN(tracer(), t_irq, now() - t_irq, name(),
-                               "complete", flow);
-                    if (done)
-                        done(r);
+                               "complete",
+                               slots[hdc::cmdSlot(r.cmdId)].flow);
+                    releaseSlot(r);
                 });
         });
+}
+
+void
+HdcDriver::releaseSlot(const D2dResult &r)
+{
+    Pending &p = slots[hdc::cmdSlot(r.cmdId)];
+    auto done = std::move(p.done);
+    p = Pending{};
+    --liveSlots;
+    if (done)
+        done(r);
 }
 
 } // namespace hdclib

@@ -15,6 +15,7 @@
 #ifndef DCS_HDCLIB_HDC_DRIVER_HH
 #define DCS_HDCLIB_HDC_DRIVER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -138,6 +139,8 @@ class HdcDriver : public SimObject
     void onMsi(std::uint32_t value);
     /** Per-command completion work shared by both MSI modes. */
     void finishCommand(std::uint32_t cmd_id, bool rejected, Tick t_irq);
+    /** Free @p r's command slot, then hand @p r to its requester. */
+    void releaseSlot(const D2dResult &r);
     /** Drain the engine's coalesced-completion ring up to @p produced. */
     void drainCplRing(std::uint32_t produced, Tick t_irq);
 
@@ -161,31 +164,37 @@ class HdcDriver : public SimObject
     };
     std::vector<ExtraSsd> extraSsds;
 
+    /** The command-slot table, indexed by hdc::cmdSlot(id). */
     struct Pending
     {
+        bool live = false;
+        bool completing = false; //!< completion seen; a repeat is a fault
+        std::uint32_t id = 0;
         host::TracePtr trace;
         std::function<void(const D2dResult &)> done;
         bool wantDigest = false;
         Tick submitTick = 0;
         std::uint64_t flow = 0; //!< span-tracer request identity
     };
-    std::unordered_map<std::uint32_t, Pending> inflight;
+    std::array<Pending, hdc::cmdQueueEntries> slots;
+    std::uint32_t liveSlots = 0; //!< claimed slots (outstanding gate)
     std::unordered_map<int, std::uint32_t> connOfFd;
 
     Addr extArena = 0;  //!< DMA arena for staged extent lists
     Addr auxArena = 0;  //!< DMA arena for aux payloads (keys)
     std::uint32_t nextCmdId = 1;
+    std::uint32_t cmdRingTail = 0; //!< command-ring producer count
     std::uint32_t nextConnId = 1;
     std::uint64_t submitted = 0;
     std::uint64_t _localRejects = 0;
-    std::uint32_t preparing = 0;   //!< admitted, not yet in inflight
     std::uint32_t cplConsumed = 0; //!< coalesced-ring consumer count
     bool rejectOnFull = false;
     pcie::DoorbellBatcher dbBatch;
     bool _ready = false;
 
+    /** Fewer than cmdQueueEntries, so a free slot always exists. */
     static constexpr std::uint32_t maxOutstanding =
-        hdc::HdcEngine::cmdQueueEntries - 1;
+        hdc::cmdQueueEntries - 1;
 };
 
 } // namespace hdclib

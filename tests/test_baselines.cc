@@ -33,14 +33,14 @@ class BaselineTest : public test::TwoNodeFixture
 class DesignSendTest
     : public BaselineTest,
       public ::testing::WithParamInterface<
-          std::tuple<const char *, const char *>>
+          std::tuple<std::string, std::string>>
 {
 };
 
 TEST_P(DesignSendTest, SendFileDeliversBytesAndDigest)
 {
     const auto [design, algo] = GetParam();
-    const bool dcs = std::string(design) == "dcs-ctrl";
+    const bool dcs = design == "dcs-ctrl";
     bringUp(dcs);
     auto path = makePath(design, nodeA());
 
@@ -89,7 +89,7 @@ TEST_F(BaselineTest, GpuOutputOverrunningItsStagingSlotDies)
 }
 
 class DesignRecvTest : public BaselineTest,
-                       public ::testing::WithParamInterface<const char *>
+                       public ::testing::WithParamInterface<std::string>
 {
 };
 

@@ -398,6 +398,110 @@ TEST(AdmissionControl, OverloadThenDrainLeavesEngineQuiescent)
     EXPECT_TRUE(engine.checkQuiesce());
 }
 
+/** One way to NACK a flood of large probes around a live command. */
+struct NackWrapCase
+{
+    std::string name;
+    std::uint32_t maxActiveCmds;
+    std::uint32_t maxLiveEntries;
+};
+
+class NackWrapTest : public ::testing::TestWithParam<NackWrapCase>
+{
+};
+
+TEST_P(NackWrapTest, LiveCommandOutlastsTwoQueuesOfNacks)
+{
+    // A 1 MiB MD5 command stays live while 127 later 2 MiB probes are
+    // NACKed: their ids wrap the 64-entry command-slot window twice
+    // around the live one. A 4 KiB MD5 follow-up, retried on 429, is
+    // then admitted — beside the live command under the live-entry
+    // bound, after it under the one-active-command bound.
+    sys::NodeParams pa;
+    pa.hdc.maxActiveCmds = GetParam().maxActiveCmds;
+    pa.hdc.maxLiveEntries = GetParam().maxLiveEntries;
+    BatchedRun run(pa);
+    run.tb.nodeA().hdcDriver().setRejectOnFull(true);
+    auto &path = run.tb.pathA();
+    auto &fs = run.tb.nodeA().fs();
+
+    const auto big = test::randomBytes(1 << 20, 31);
+    const auto small = test::randomBytes(4096, 32);
+    const int fd_big = fs.create("big", big);
+    const int fd_probe = fs.create("probe", test::randomBytes(2 << 20, 33));
+    const int fd_small = fs.create("small", small);
+    std::vector<std::vector<std::uint8_t>> got(3);
+    std::vector<int> socks;
+    for (std::uint16_t i = 0; i < 3; ++i) {
+        auto [ca, cb] = run.tb.connect(i);
+        cb->onPayload = [&got, i](std::uint32_t, BufChain p) {
+            const auto bytes = p.toVector();
+            got[i].insert(got[i].end(), bytes.begin(), bytes.end());
+        };
+        socks.push_back(ca->fd);
+    }
+
+    baselines::PathResult big_res, small_res;
+    bool big_done = false, small_done = false;
+    int nacks_while_live = 0, probes_admitted = 0, small_tries = 0;
+    std::function<void()> follow_up = [&] {
+        ++small_tries;
+        path.sendFile(fd_small, socks[2], 0, small.size(),
+                      ndp::Function::Md5, {}, nullptr,
+                      [&](const baselines::PathResult &r) {
+                          if (r.status == 429)
+                              return follow_up();
+                          small_res = r;
+                          small_done = true;
+                      });
+    };
+    std::function<void()> probe = [&] {
+        path.sendFile(fd_probe, socks[1], 0, 2 << 20, ndp::Function::None,
+                      {}, nullptr, [&](const baselines::PathResult &r) {
+                          if (r.status != 429)
+                              ++probes_admitted;
+                          else if (!big_done)
+                              ++nacks_while_live;
+                          if (nacks_while_live + probes_admitted < 127)
+                              probe();
+                          else
+                              follow_up();
+                      });
+    };
+    path.sendFile(fd_big, socks[0], 0, big.size(), ndp::Function::Md5, {},
+                  nullptr, [&](const baselines::PathResult &r) {
+                      big_res = r;
+                      big_done = true;
+                  });
+    probe();
+    run.tb.eq().run();
+
+    ASSERT_TRUE(big_done);
+    ASSERT_TRUE(small_done);
+    EXPECT_EQ(nacks_while_live, 127);
+    EXPECT_EQ(probes_admitted, 0);
+    EXPECT_GE(small_tries, 1);
+    EXPECT_EQ(big_res.status, 0u);
+    EXPECT_EQ(big_res.digest, ndp::makeHash("md5")->oneShot(big));
+    EXPECT_EQ(got[0], big);
+    EXPECT_EQ(small_res.status, 0u);
+    EXPECT_EQ(small_res.digest, ndp::makeHash("md5")->oneShot(small));
+    EXPECT_EQ(got[2], small);
+    EXPECT_TRUE(got[1].empty());
+    EXPECT_TRUE(run.tb.nodeA().engine().checkQuiesce());
+}
+
+// 1 MiB estimates at 16 x 34 = 544 live entries, a 2 MiB probe at
+// 1088: a 600-entry bound admits the live command and the 4 KiB
+// follow-up but no probe.
+INSTANTIATE_TEST_SUITE_P(
+    Bounds, NackWrapTest,
+    ::testing::Values(NackWrapCase{"OneActiveCommand", 1, 0},
+                      NackWrapCase{"LiveEntryBound", 0, 600}),
+    [](const ::testing::TestParamInfo<NackWrapCase> &info) {
+        return info.param.name;
+    });
+
 TEST(AdmissionControl, ScoreboardCapacityAccounting)
 {
     EventQueue eq;

@@ -41,7 +41,7 @@ TEST_F(DcsE2eTest, SendFilePlain)
 class DcsHashSendTest
     : public test::TwoNodeFixture,
       public ::testing::WithParamInterface<
-          std::tuple<const char *, std::size_t>>
+          std::tuple<std::string, std::size_t>>
 {
 };
 

@@ -227,5 +227,68 @@ TEST_F(CompletionOrderTest, OutOfOrderAblationUnblocksSmallCommands)
         << "ablation: the small command no longer waits";
 }
 
+TEST_F(CompletionOrderTest, RelaxedOrderRetiresTwoQueuesPastASlowCommand)
+{
+    // With the ablation on, 128 small CRC32 commands, issued one after
+    // another, retire past one slow MD5 command: their ids wrap the
+    // 64-entry command-slot window twice around the live one.
+    bringUp(true);
+    nodeA().engine().setInOrderCompletion(false);
+    host::ConnPairParams cp;
+    cp.portA = 9100;
+    cp.portB = 40100;
+    auto [ca2, cb2] =
+        host::establishPair(nodeA().tcp(), nodeB().tcp(), cp);
+    sinkAtB();
+    std::vector<std::uint8_t> small_rx;
+    cb2->onPayload = [&](std::uint32_t, BufChain p) {
+        const auto bytes = p.toVector();
+        small_rx.insert(small_rx.end(), bytes.begin(), bytes.end());
+    };
+
+    const auto big = test::randomBytes(4 << 20, 67);
+    const auto small = test::randomBytes(4096, 68);
+    const int fd_big = nodeA().fs().create("big", big);
+    const int fd_small = nodeA().fs().create("small", small);
+    const auto small_crc = ndp::makeHash("crc32")->oneShot(small);
+    const int n_small = 128;
+
+    int small_done = 0, small_before_big = 0, bad_digests = 0;
+    bool big_done = false;
+    std::vector<std::uint8_t> big_digest;
+    std::function<void()> next_small = [&] {
+        nodeA().hdcLib().sendFile(
+            fd_small, ca2->fd, 0, small.size(), ndp::Function::Crc32, {},
+            true, nullptr, [&](const hdclib::D2dResult &r) {
+                EXPECT_EQ(r.status, 0u);
+                if (r.digest != small_crc)
+                    ++bad_digests;
+                if (!big_done)
+                    ++small_before_big;
+                if (++small_done < n_small)
+                    next_small();
+            });
+    };
+    nodeA().hdcLib().sendFile(fd_big, connA->fd, 0, big.size(),
+                              ndp::Function::Md5, {}, true, nullptr,
+                              [&](const hdclib::D2dResult &r) {
+                                  EXPECT_EQ(r.status, 0u);
+                                  big_digest = r.digest;
+                                  big_done = true;
+                              });
+    next_small();
+    eq.run();
+
+    ASSERT_TRUE(big_done);
+    ASSERT_EQ(small_done, n_small);
+    EXPECT_EQ(small_before_big, n_small) << "the slow command must stay "
+                                            "live across the whole run";
+    EXPECT_EQ(bad_digests, 0);
+    EXPECT_EQ(big_digest, ndp::makeHash("md5")->oneShot(big));
+    EXPECT_EQ(received, big);
+    EXPECT_EQ(small_rx.size(), small.size() * n_small);
+    EXPECT_TRUE(nodeA().engine().checkQuiesce());
+}
+
 } // namespace
 } // namespace dcs

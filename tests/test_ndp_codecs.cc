@@ -121,7 +121,7 @@ test_data()
 }
 
 class SplitHashTest
-    : public ::testing::TestWithParam<std::tuple<const char *, std::size_t>>
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>>
 {
 };
 

@@ -73,11 +73,12 @@ TEST_F(TcpDemuxTest, CloseVictimPromotesEarliestSurvivor)
     };
 
     ASSERT_EQ(nodeB().tcp().connectionCount(), 2u);
-    ASSERT_TRUE(nodeB().tcp().close(connB->fd));
+    const int victim_fd = connB->fd; // close() frees connB
+    connB = nullptr;
+    ASSERT_TRUE(nodeB().tcp().close(victim_fd));
     EXPECT_EQ(nodeB().tcp().connectionCount(), 1u);
     // Double-close reports failure instead of corrupting state.
-    EXPECT_FALSE(nodeB().tcp().close(connB->fd));
-    connB = nullptr; // freed by close
+    EXPECT_FALSE(nodeB().tcp().close(victim_fd));
 
     const std::uint32_t len = 2000;
     const Addr buf = nodeA().host().allocDma(len);
