@@ -1,5 +1,6 @@
 #include "net/packet.hh"
 
+#include <bit>
 #include <cstring>
 
 namespace dcs {
@@ -36,31 +37,87 @@ get32(const std::uint8_t *p)
            (std::uint32_t(p[2]) << 8) | p[3];
 }
 
+/** Fold a ones-complement sum to 16 bits (never turns nonzero to 0). */
+std::uint16_t
+fold16(std::uint64_t s)
+{
+    while (s >> 16)
+        s = (s & 0xffff) + (s >> 16);
+    return static_cast<std::uint16_t>(s);
+}
+
+std::uint16_t
+swap16(std::uint16_t v)
+{
+    return static_cast<std::uint16_t>((v << 8) | (v >> 8));
+}
+
+/** 64-bit ones-complement add: the carry wraps around (RFC 1071). */
+std::uint64_t
+addCarry(std::uint64_t a, std::uint64_t b)
+{
+    a += b;
+    return a + (a < b);
+}
+
+/**
+ * Ones-complement sum of @p d as big-endian 16-bit words starting at
+ * an even offset (a trailing odd byte is the high half of a word),
+ * folded to 16 bits. RFC 1071 §2: the sum does not depend on the word
+ * width or the byte order it is taken in, so it adds native 64-bit
+ * words in two independent carry chains and swaps bytes once at the
+ * end on a little-endian host.
+ */
+std::uint16_t
+sum16(std::span<const std::uint8_t> d)
+{
+    const std::uint8_t *p = d.data();
+    const std::size_t n = d.size();
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        std::uint64_t w0, w1;
+        std::memcpy(&w0, p + i, 8);
+        std::memcpy(&w1, p + i + 8, 8);
+        a = addCarry(a, w0);
+        b = addCarry(b, w1);
+    }
+    if (i + 8 <= n) {
+        std::uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        a = addCarry(a, w);
+        i += 8;
+    }
+    if (i < n) {
+        std::uint64_t w = 0; // zero-padded tail, still word-aligned
+        std::memcpy(&w, p + i, n - i);
+        a = addCarry(a, w);
+    }
+    const std::uint16_t s = fold16(addCarry(a, b));
+    if constexpr (std::endian::native == std::endian::little)
+        return swap16(s);
+    return s;
+}
+
 /**
  * Ones-complement accumulator that preserves 16-bit word alignment
  * across feed() calls, so a payload scattered over chain segments
- * checksums identically to the same bytes fed contiguously.
+ * checksums identically to the same bytes fed contiguously: a segment
+ * that starts at an odd offset contributes its sum byte-swapped.
  */
 struct ChecksumAcc
 {
-    std::uint32_t sum = 0;
+    std::uint64_t sum = 0;
     bool odd = false; //!< next byte is the low half of a 16-bit word
 
     void
     feed(std::span<const std::uint8_t> d)
     {
-        std::size_t i = 0;
-        if (odd && !d.empty()) {
-            sum += d[0];
-            i = 1;
-            odd = false;
-        }
-        for (; i + 1 < d.size(); i += 2)
-            sum += (std::uint32_t(d[i]) << 8) | d[i + 1];
-        if (i < d.size()) {
-            sum += std::uint32_t(d[i]) << 8;
-            odd = true;
-        }
+        const std::uint16_t s = sum16(d);
+        sum += odd ? swap16(s) : s;
+        if (d.size() & 1)
+            odd = !odd;
     }
 
     void
@@ -73,10 +130,7 @@ struct ChecksumAcc
     std::uint16_t
     finish() const
     {
-        std::uint32_t s = sum;
-        while (s >> 16)
-            s = (s & 0xffff) + (s >> 16);
-        return static_cast<std::uint16_t>(~s);
+        return static_cast<std::uint16_t>(~fold16(sum));
     }
 };
 

@@ -14,6 +14,11 @@ EventQueue::EventQueue()
     statsGroup.addCounter("scheduled", created, "events ever scheduled");
     statsGroup.addCounter("cancelled_popped", skipped,
                           "events cancelled while pending");
+    statsGroup.addCounter("moved", moved,
+                          "entries moved between calendar levels by "
+                          "rebuild, retighten and lower-window");
+    statsGroup.addCounter("coarse_rebuilds", coarseRebuilds,
+                          "coarse-level re-spreads from the top overflow");
     statsGroup.addValue(
         "final_tick", [this] { return static_cast<double>(_now); },
         "simulated time at dump");
@@ -32,6 +37,8 @@ EventQueue::EventQueue()
         [this] { return static_cast<double>(_tracer.openSpans()); },
         "trace spans begun but not yet ended");
     _tracer.setAttribution(&_attr);
+    coarseHead.assign(kNumCoarse, kNoSlot);
+    anchorAt(0);
     // Slot 0 is reserved so no valid handle is ever 0.
     records.emplace_back();
     // Stamp log output with this queue's clock while it is the live
@@ -81,16 +88,16 @@ EventQueue::insertEntry(const QEntry &e)
         ready.push_back(e);
         return;
     }
-    if (e.when >= windowEnd()) {
-        far.push_back(e);
+    if (e.when >= windowLimit) {
+        insertCoarse(e);
         return;
     }
     if (e.when < windowStart) [[unlikely]] {
-        // runUntil() can return with the clock below the window:
-        // rebuildWindow()/retighten() anchor windowStart at the
-        // pending minimum, which may exceed the runUntil limit. A
-        // later schedule between now() and windowStart would index
-        // below bucket 0 — re-anchor the window around it instead.
+        // runUntil() can return with the clock below the window: the
+        // window is anchored at the pending minimum, which may exceed
+        // the runUntil limit. A later schedule between now() and
+        // windowStart would index below bucket 0 — re-anchor the
+        // window around it instead.
         lowerWindow(e);
         return;
     }
@@ -100,6 +107,23 @@ EventQueue::insertEntry(const QEntry &e)
     bucketSorted[idx] = false;
     if (idx < curBucket)
         curBucket = idx; // rewind: bucket was empty until this entry
+}
+
+void
+EventQueue::insertCoarse(const QEntry &e)
+{
+    if (e.when < coarseBoundary) {
+        feed.push_back(e);
+        return;
+    }
+    const Tick idx = (e.when - coarseStart) >> coarseShift;
+    if (idx < kNumCoarse) {
+        pushCoarse(static_cast<std::size_t>(idx), e);
+        return;
+    }
+    top.push_back(e);
+    topLo = std::min(topLo, e.when);
+    topHi = std::max(topHi, e.when);
 }
 
 EventId
@@ -188,89 +212,185 @@ EventQueue::refill()
             readyValid = true;
             return true;
         }
-        if (far.empty())
+        if (!advanceWindow())
             return false;
-        rebuildWindow();
     }
 }
 
 void
-EventQueue::redistribute(Tick lo, Tick span)
+EventQueue::pushCoarse(std::size_t i, const QEntry &e)
+{
+    std::uint32_t n = coarseFree;
+    if (n != kNoSlot) {
+        coarseFree = coarsePool[n].next;
+    } else {
+        n = static_cast<std::uint32_t>(coarsePool.size());
+        coarsePool.emplace_back();
+    }
+    coarsePool[n] = CNode{e, coarseHead[i]};
+    coarseHead[i] = n;
+}
+
+void
+EventQueue::anchorAt(Tick t)
+{
+    coarseStart = t;
+    coarseShift = kMinCoarseShift;
+    setCurCoarse(0);
+    windowStart = t;
+    widthShift = kInitWidthShift;
+    curBucket = 0;
+    const Tick width = Tick(kNumBuckets) << widthShift;
+    windowLimit = coarseBoundary - t > width ? t + width : coarseBoundary;
+}
+
+void
+EventQueue::setCurCoarse(std::size_t i)
+{
+    curCoarse = i;
+    const Tick off = Tick(i + 1) << coarseShift;
+    const bool wraps = (off >> coarseShift) != Tick(i + 1) ||
+                       off > maxTick - coarseStart;
+    coarseBoundary = wraps ? maxTick : coarseStart + off;
+}
+
+bool
+EventQueue::advanceWindow()
+{
+    // The fine window is drained: the rest of the current coarse
+    // bucket is next; otherwise the first non-empty later bucket;
+    // otherwise the coarse level re-spreads from `top`.
+    if (queued == 0) {
+        // Drained: restart both levels from the initial geometry at
+        // now(), so every run from an empty queue reuses the same
+        // buckets (and their grown capacity) as the first one did.
+        anchorAt(_now);
+        return false;
+    }
+    if (feed.empty()) {
+        std::size_t i = curCoarse + 1;
+        while (i < kNumCoarse && coarseHead[i] == kNoSlot)
+            ++i;
+        if (i == kNumCoarse) {
+            DCS_INVARIANT(!top.empty(), "queued entries in no level");
+            rebuildCoarse(); // everything pending is in `top`
+            i = 0;
+        }
+        setCurCoarse(i);
+        std::uint32_t n = coarseHead[i];
+        while (n != kNoSlot) {
+            CNode &c = coarsePool[n];
+            feed.push_back(c.e);
+            const std::uint32_t next = c.next;
+            c.next = coarseFree;
+            coarseFree = n;
+            n = next;
+        }
+        coarseHead[i] = kNoSlot;
+    }
+    Tick lo = maxTick;
+    Tick hi = 0;
+    for (const QEntry &e : feed) {
+        lo = std::min(lo, e.when);
+        hi = std::max(hi, e.when);
+    }
+    spreadWindow(lo, hi - lo);
+    return true;
+}
+
+void
+EventQueue::spreadWindow(Tick lo, Tick span)
 {
     // Adapt bucket width to the observed span: smallest width whose
     // window covers it, capped so one distant timer cannot degrade
-    // bucket resolution for everything in between.
+    // bucket resolution for everything in between. The window stops
+    // at the current coarse bucket's end, so every entry left behind
+    // (in `feed`, a later bucket or `top`) is later than every entry
+    // in the window.
     std::uint32_t shift = 0;
     while (shift < kMaxWidthShift && (Tick(kNumBuckets) << shift) <= span)
         ++shift;
     widthShift = shift;
     windowStart = lo;
     curBucket = 0;
+    const Tick width = Tick(kNumBuckets) << shift;
+    windowLimit =
+        coarseBoundary - lo > width ? lo + width : coarseBoundary;
     std::size_t w = 0;
-    const Tick end = windowEnd();
-    for (std::size_t r = 0; r < far.size(); ++r) {
-        const QEntry e = far[r];
-        if (e.when < end) {
+    for (std::size_t r = 0; r < feed.size(); ++r) {
+        const QEntry e = feed[r];
+        if (e.when < windowLimit) {
             const auto idx = static_cast<std::size_t>(
                 (e.when - windowStart) >> widthShift);
             buckets[idx].push_back(e);
             bucketSorted[idx] = false;
         } else {
-            far[w++] = e;
+            feed[w++] = e;
         }
     }
-    far.resize(w);
+    moved += feed.size() - w;
+    feed.resize(w);
+}
+
+void
+EventQueue::rebuildCoarse()
+{
+    // Called with the window and the coarse level drained, so `top`
+    // holds every pending entry: size the coarse buckets (never below
+    // one maximal window) so the level's horizon covers all of them,
+    // and spread them out — each moves exactly once.
+    ++coarseRebuilds;
+    const Tick span = topHi - topLo;
+    std::uint32_t shift = kMinCoarseShift;
+    while ((span >> shift) >= kNumCoarse)
+        ++shift;
+    coarseShift = shift;
+    coarseStart = topLo;
+    for (const QEntry &e : top)
+        pushCoarse(static_cast<std::size_t>((e.when - coarseStart) >> shift),
+                   e);
+    moved += top.size();
+    top.clear();
+    topLo = maxTick;
+    topHi = 0;
+}
+
+void
+EventQueue::dumpWindow()
+{
+    for (std::size_t i = curBucket; i < kNumBuckets; ++i) {
+        auto &bk = buckets[i];
+        feed.insert(feed.end(), bk.begin(), bk.end());
+        moved += bk.size();
+        bk.clear();
+    }
+    curBucket = kNumBuckets;
 }
 
 void
 EventQueue::lowerWindow(const QEntry &e)
 {
-    // Dump the in-window buckets back into `far` (buckets before
-    // curBucket are empty by invariant), add the new below-window
-    // entry, and rebuild: rebuildWindow() re-anchors at the new
-    // global minimum with a width sized to the full pending span.
-    for (std::size_t i = curBucket; i < kNumBuckets; ++i) {
-        auto &bk = buckets[i];
-        if (bk.empty())
-            continue;
-        far.insert(far.end(), bk.begin(), bk.end());
-        bk.clear();
-    }
-    far.push_back(e);
-    rebuildWindow();
-}
-
-void
-EventQueue::rebuildWindow()
-{
-    Tick lo = maxTick;
-    Tick hi = 0;
-    for (const QEntry &e : far) {
-        lo = std::min(lo, e.when);
-        hi = std::max(hi, e.when);
-    }
-    redistribute(lo, hi - lo);
+    // Fold the window (buckets before curBucket are empty by
+    // invariant) and the new below-window entry into `feed`, which
+    // then holds the global minimum, and rebuild the window from it.
+    dumpWindow();
+    feed.push_back(e);
+    advanceWindow();
 }
 
 void
 EventQueue::retighten()
 {
     // Called from refill() on the sorted front bucket: all earlier
-    // buckets are empty, so its first entry is the global in-window
-    // minimum and everything pending is at or after it. Dump the
-    // window into `far` and re-spread with a width sized to the
-    // front bucket's own span — the densest region of the calendar.
+    // buckets are empty, so its first entry is the global minimum and
+    // everything pending is at or after it. Fold the window into
+    // `feed` and re-spread it with a width sized to the front
+    // bucket's own span — the densest region of the calendar.
     const auto &b = buckets[curBucket];
     const Tick lo = b.front().when;
     const Tick span = b.back().when - lo;
-    for (std::size_t i = curBucket; i < kNumBuckets; ++i) {
-        auto &bk = buckets[i];
-        if (bk.empty())
-            continue;
-        far.insert(far.end(), bk.begin(), bk.end());
-        bk.clear();
-    }
-    redistribute(lo, span);
+    dumpWindow();
+    spreadWindow(lo, span);
 }
 
 void
@@ -290,22 +410,32 @@ EventQueue::nextPendingTick() const
         return maxTick;
     if (readyValid && readyPos < ready.size())
         return readyTick;
-    // Bucket i covers strictly earlier ticks than bucket i+1, so the
-    // first non-empty bucket holds the in-window minimum (the bucket
-    // itself may be unsorted).
-    for (std::size_t i = curBucket; i < kNumBuckets; ++i) {
-        const auto &b = buckets[i];
-        if (b.empty())
-            continue;
+    // Bucket i covers strictly earlier ticks than bucket i+1, and
+    // the fine window earlier ticks than the coarse level, so the
+    // first non-empty bucket holds the minimum (the bucket itself may
+    // be unsorted).
+    auto minWhen = [](const std::vector<QEntry> &v) {
         Tick lo = maxTick;
-        for (const QEntry &e : b)
+        for (const QEntry &e : v)
             lo = std::min(lo, e.when);
         return lo;
+    };
+    for (std::size_t i = curBucket; i < kNumBuckets; ++i) {
+        if (!buckets[i].empty())
+            return minWhen(buckets[i]);
     }
-    Tick lo = maxTick;
-    for (const QEntry &e : far)
-        lo = std::min(lo, e.when);
-    return lo;
+    if (!feed.empty())
+        return minWhen(feed);
+    for (std::size_t i = curCoarse + 1; i < kNumCoarse; ++i) {
+        if (coarseHead[i] == kNoSlot)
+            continue;
+        Tick lo = maxTick;
+        for (std::uint32_t n = coarseHead[i]; n != kNoSlot;
+             n = coarsePool[n].next)
+            lo = std::min(lo, coarsePool[n].e.when);
+        return lo;
+    }
+    return topLo;
 }
 
 void

@@ -6,20 +6,34 @@
  * scheduled for the same tick always fire in the order they were
  * scheduled — determinism does not depend on container tie-breaking.
  *
- * The implementation is a two-level calendar/ladder queue tuned for
- * the traffic the models actually generate:
+ * The implementation is a hierarchical calendar (a two-level timing
+ * wheel in the manner of Varghese & Lauck, with ladder-queue style
+ * adaptive widths after Tang et al.) tuned for the traffic the models
+ * actually generate:
  *
  *  - a `ready` FIFO holds the tick group currently firing: a
  *    continuation scheduled for the current tick (the dominant
  *    cascade pattern) is an O(1) append and never touches a
  *    comparison-based structure;
- *  - a window of kNumBuckets buckets, each spanning 2^widthShift
+ *  - a fine window of kNumBuckets buckets, each spanning 2^widthShift
  *    ticks, receives near-future events with an O(1) append; a bucket
  *    is sorted by (tick, sequence) only when the simulation reaches
  *    it;
- *  - events beyond the window collect in an unsorted `far` overflow;
- *    when the window drains, a new epoch rebuilds around the earliest
- *    far event with a bucket width adapted to the observed span.
+ *  - a coarse level of kNumCoarse unsorted buckets, each at least one
+ *    maximal fine window wide, receives everything beyond the window
+ *    with an O(1) append. The fine window never reaches past the end
+ *    of the current coarse bucket, so every coarse entry is later than
+ *    every fine one; when the window drains it is rebuilt from the
+ *    one coarse bucket that feeds it, with a width adapted to that
+ *    bucket's span;
+ *  - events beyond the coarse level's horizon collect in an unsorted
+ *    `top` overflow whose bounds are tracked on insert; only when the
+ *    coarse level drains is it re-spread from `top`, once per entry.
+ *
+ * No step rescans every pending entry: each entry moves top -> coarse
+ * -> fine at most once, plus the re-spreads of one coarse bucket's
+ * worth of entries by a window re-tighten or a below-window schedule
+ * (eventq.moved counts them).
  *
  * Event callbacks are InlineCallbacks living in slot-indexed records:
  * the common schedule -> fire path performs zero heap allocations
@@ -41,6 +55,7 @@
 #define DCS_SIM_EVENT_QUEUE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string_view>
@@ -146,8 +161,9 @@ class EventQueue
      * result is a conservative (never too late) lower bound, which is
      * exactly what the sharded run loop needs for its horizon math —
      * a stale entry simply yields one extra barrier round that
-     * consumes it. O(1) except when the head of the line is in the
-     * unsorted `far` overflow, which is scanned.
+     * consumes it. O(1) except when the head of the line is in an
+     * unsorted bucket: one fine bucket, or else one coarse bucket, is
+     * scanned. The `top` overflow's minimum is tracked, never scanned.
      */
     Tick nextPendingTick() const;
 
@@ -186,6 +202,16 @@ class EventQueue
     /** Calendar geometry. */
     static constexpr std::size_t kNumBuckets = 256;
     static constexpr std::uint32_t kMaxWidthShift = 16;
+    static constexpr std::uint32_t kInitWidthShift = 10;
+    static constexpr std::size_t kNumCoarse = 4096;
+    /**
+     * A coarse bucket is at least one maximal fine window wide, so a
+     * self-rescheduling short-delay chain crosses a coarse boundary
+     * once per window, not once per event.
+     */
+    static constexpr std::uint32_t kMinCoarseShift =
+        static_cast<std::uint32_t>(std::countr_zero(kNumBuckets)) +
+        kMaxWidthShift;
     /**
      * A multi-tick front bucket holding more entries than this
      * triggers a window re-tighten (refill() would otherwise re-sort
@@ -218,6 +244,13 @@ class EventQueue
         std::uint32_t slot;
     };
 
+    /** A coarse-bucket list node: an entry plus its successor. */
+    struct CNode
+    {
+        QEntry e;
+        std::uint32_t next;
+    };
+
     // Declared before statsGroup so the group (which deregisters
     // itself) is destroyed first.
     stats::Registry _stats;
@@ -239,9 +272,36 @@ class EventQueue
     std::array<std::vector<QEntry>, kNumBuckets> buckets;
     std::array<bool, kNumBuckets> bucketSorted{};
     Tick windowStart = 0;
-    std::uint32_t widthShift = 10;
+    /** End of the fine window, clamped to coarseBoundary. */
+    Tick windowLimit = 0;
+    std::uint32_t widthShift = kInitWidthShift;
     std::size_t curBucket = 0;
-    std::vector<QEntry> far;
+
+    /**
+     * Coarse level: bucket i covers [coarseStart + i * 2^coarseShift,
+     * + 2^coarseShift). The current bucket, curCoarse, is held
+     * contiguously in `feed`, the window's refill source: it takes
+     * everything in [windowLimit, coarseBoundary), including entries
+     * below its nominal start after a lowerWindow(), and window dumps.
+     * Every later bucket is an unordered list threaded through one
+     * shared node pool, which grows only to the peak coarse
+     * population, so sweeping through thousands of buckets allocates
+     * nothing in steady state; a list is spliced into `feed` once,
+     * when its bucket becomes current.
+     */
+    std::vector<QEntry> feed;
+    std::vector<std::uint32_t> coarseHead; //!< kNumCoarse list heads
+    std::vector<CNode> coarsePool;
+    std::uint32_t coarseFree = kNoSlot;
+    Tick coarseStart = 0;
+    std::uint32_t coarseShift = kMinCoarseShift;
+    std::size_t curCoarse = 0;
+    Tick coarseBoundary = 0; //!< end of bucket curCoarse, saturating
+
+    /** Beyond the coarse horizon; bounds tracked on insert. */
+    std::vector<QEntry> top;
+    Tick topLo = maxTick;
+    Tick topHi = 0;
 
     TraceFn traceFn;
     Tick _now = 0;
@@ -249,24 +309,34 @@ class EventQueue
     std::uint64_t skipped = 0;
     std::uint64_t created = 0;
     std::uint64_t live = 0;   //!< scheduled, not yet fired/cancelled
-    std::uint64_t queued = 0; //!< entries in ready/buckets/far
-
-    Tick
-    windowEnd() const
-    {
-        return windowStart + (Tick(kNumBuckets) << widthShift);
-    }
+    std::uint64_t queued = 0; //!< entries in ready/buckets/feed/coarse/top
+    std::uint64_t moved = 0;  //!< entries re-placed by queue upkeep
+    std::uint64_t coarseRebuilds = 0;
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
     void insertEntry(const QEntry &e);
+    /** File an entry at or beyond windowLimit into coarse or top. */
+    void insertCoarse(const QEntry &e);
+    /** Link @p e into the list of coarse bucket @p i. */
+    void pushCoarse(std::size_t i, const QEntry &e);
     /** Load the next (tick, seq) group into `ready`; false if none. */
     bool refill();
     /** Re-bucket unconsumed ready entries (early runUntil return). */
     void flushReady();
-    /** Choose a width for @p span, then spread `far` from @p lo on. */
-    void redistribute(Tick lo, Tick span);
-    void rebuildWindow();
+    /** Refill the drained fine window from the next coarse bucket. */
+    bool advanceWindow();
+    /** Move `feed` into the window from @p lo, sized for @p span, up
+     *  to the window limit. */
+    void spreadWindow(Tick lo, Tick span);
+    /** Spread `top` over the drained coarse level's lists. */
+    void rebuildCoarse();
+    /** Reset both levels (all empty) to the initial geometry at @p t. */
+    void anchorAt(Tick t);
+    /** Point the coarse level at bucket @p i. */
+    void setCurCoarse(std::size_t i);
+    /** Move the unconsumed fine window into `feed`. */
+    void dumpWindow();
     /** Re-anchor the window around an entry below windowStart. */
     void lowerWindow(const QEntry &e);
     /** Narrow the window around an over-dense sorted front bucket. */

@@ -2,13 +2,15 @@
  * @file
  * Calendar-queue edge cases and the queue-swap determinism pin.
  *
- * The EventQueue moved from a binary heap to a two-level calendar
- * (ready group + bucketed window + far overflow). These tests pin the
- * behaviors the swap must not change: exact (tick, sequence) firing
- * order through every storage path (ready appends, dense buckets that
- * trigger a re-tighten, window rebuilds from `far`), O(1)-style
- * cancellation with no residue, and — via golden digests — that the
- * full simulator's event trace is bit-identical to the pre-swap queue.
+ * The EventQueue moved from a binary heap to a hierarchical calendar
+ * (ready group + bucketed fine window + coarse level + top overflow).
+ * These tests pin the behaviors the swap must not change: exact
+ * (tick, sequence) firing order through every storage path (ready
+ * appends, dense buckets that trigger a re-tighten, window rebuilds
+ * from a coarse bucket, coarse rebuilds from `top`), bounded queue
+ * upkeep, O(1)-style cancellation with no residue, and — via golden
+ * digests — that the full simulator's event trace is bit-identical to
+ * the pre-swap queue.
  */
 // dcslint: allow-file(callback-lifetime): the test drains the queue in the
 // same stack frame, so by-reference captures of locals cannot dangle.
@@ -17,7 +19,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +32,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "workload/experiment.hh"
+#include "workload/loadgen.hh"
 
 namespace dcs {
 namespace {
@@ -216,6 +222,127 @@ TEST(CalendarQueue, SameTickCascadeDuringFiringAppendsToReadyGroup)
     EXPECT_EQ(eq.now(), 10u);
 }
 
+// --- Upkeep bound on a bimodal load -------------------------------
+
+/** A counter of @p eq's `eventq` stats group, read from its dump. */
+std::uint64_t
+eventqCounter(const EventQueue &eq, const std::string &name)
+{
+    const std::string dump = eq.stats().dumpJsonString();
+    const auto group = dump.find("\"eventq\":{");
+    const auto key = dump.find("\"" + name + "\":", group);
+    EXPECT_NE(group, std::string::npos);
+    EXPECT_NE(key, std::string::npos) << name;
+    if (group == std::string::npos || key == std::string::npos)
+        return 0;
+    return std::strtoull(dump.c_str() + key + name.size() + 3, nullptr,
+                         10);
+}
+
+/** Binary-heap (tick, seq) reference queue: the ordering spec. */
+class RefQueue
+{
+  public:
+    Tick now() const { return _now; }
+
+    void
+    scheduleAt(Tick when, std::function<void()> fn)
+    {
+        fns.push_back(std::move(fn));
+        heap.emplace(when, fns.size());
+    }
+
+    void
+    run()
+    {
+        while (!heap.empty()) {
+            const auto [when, seq] = heap.top();
+            heap.pop();
+            _now = when;
+            trace.emplace_back(when, seq);
+            std::function<void()> fn = std::move(fns[seq - 1]);
+            fn();
+        }
+    }
+
+    FiringTrace trace;
+
+  private:
+    using Key = std::pair<Tick, std::uint64_t>;
+    std::priority_queue<Key, std::vector<Key>, std::greater<>> heap;
+    std::vector<std::function<void()>> fns;
+    Tick _now = 0;
+};
+
+/**
+ * Far timers spread over one simulated second, each setting off a
+ * short near-term cascade when it fires, on top of a dense cascade at
+ * the start. Every decision is drawn in firing order, so two queues
+ * produce the same trace iff they fire in the same order.
+ */
+template <typename Queue>
+struct BimodalLoad
+{
+    Queue &q;
+    Rng rng{23};
+    int denseBudget = 20'000;
+
+    void
+    cascade(int depth, int *budget)
+    {
+        if (depth == 0)
+            return;
+        const auto kids = rng.uniformInt(1, 2);
+        for (std::uint64_t k = 0; k < kids; ++k) {
+            if (budget && (*budget)-- <= 0)
+                return;
+            q.scheduleAt(q.now() + rng.uniformInt(0, 2'000),
+                         [this, depth, budget] {
+                             cascade(depth - 1, budget);
+                         });
+        }
+    }
+
+    void
+    start()
+    {
+        for (int i = 0; i < 20'000; ++i)
+            q.scheduleAt(rng.uniformInt(1, seconds(1)),
+                         [this] { cascade(2, nullptr); });
+        for (int i = 0; i < 16; ++i)
+            q.scheduleAt(rng.uniformInt(0, 100),
+                         [this] { cascade(40, &denseBudget); });
+    }
+};
+
+TEST(CalendarQueue, BimodalLoadFiresInOrderWithBoundedUpkeep)
+{
+    RefQueue ref;
+    BimodalLoad<RefQueue> refLoad{ref};
+    refLoad.start();
+    ref.run();
+
+    EventQueue eq;
+    FiringTrace trace;
+    attachTrace(eq, trace);
+    BimodalLoad<EventQueue> load{eq};
+    load.start();
+    eq.run();
+
+    ASSERT_GT(trace.size(), 60'000u);
+    ASSERT_EQ(trace.size(), ref.trace.size());
+    EXPECT_TRUE(trace == ref.trace) << "firing order diverged from the "
+                                       "(tick, seq) reference";
+    // Each entry moves top -> coarse -> fine at most once, plus
+    // re-tighten re-spreads; a design that re-scans and re-files
+    // every pending far entry per window would blow through this.
+    const std::uint64_t moved = eventqCounter(eq, "moved");
+    EXPECT_LE(moved, 4 * eq.scheduled())
+        << "queue upkeep moved " << moved << " entries for "
+        << eq.scheduled() << " scheduled";
+    EXPECT_GE(eventqCounter(eq, "coarse_rebuilds"), 1u);
+}
+
 // --- Barrier-round support queries --------------------------------
 
 TEST(CalendarQueue, NextPendingTickTracksEveryStoragePath)
@@ -350,6 +477,42 @@ TEST(QueueSwapDeterminism, GoldenDigestsMatchPreSwapQueue)
     EXPECT_EQ(swCrc.digest, 0xcb53babeee5210a9ull);
     EXPECT_EQ(swCrc.events, 585ull);
     EXPECT_EQ(swCrc.end, 912919727ull);
+}
+
+TEST(QueueSwapDeterminism, GoldenDigestFarHeavyOpenLoop)
+{
+    // An open-loop population of 20k clients keeps ~7k arrival timers
+    // pending beyond the fine window for the whole run, so most
+    // firings pass through the far levels of the calendar. Frozen from
+    // the queue whose far level was one unsorted overflow vector.
+    workload::Testbed tb(workload::Design::DcsCtrl);
+    TraceHasher th;
+    th.attach(tb.eq());
+    workload::LoadGenParams p;
+    p.clients = 20'000;
+    p.offeredRps = 400'000;
+    p.maxBacklog = 256;
+    p.requestBytes = 4 * 1024;
+    p.connections = 16;
+    p.warmup = milliseconds(1);
+    p.measure = milliseconds(20);
+    p.seed = 3;
+    workload::LoadGen gen(tb.eq(), tb.nodeA(), tb.nodeB(), tb.pathA(), p);
+    workload::LoadGenStats st;
+    bool fin = false;
+    gen.run([&](const workload::LoadGenStats &s) {
+        st = s;
+        fin = true;
+    });
+    EXPECT_GT(tb.eq().pending(), 6'000u);
+    tb.eq().run();
+    ASSERT_TRUE(fin);
+    EXPECT_EQ(th.digest(), 0xaf0fbe277665478cull);
+    EXPECT_EQ(th.events(), 121831ull);
+    EXPECT_EQ(tb.eq().now(), 23812052018ull);
+    EXPECT_EQ(st.offered, 8161u);
+    EXPECT_EQ(st.completed, 1952u);
+    EXPECT_EQ(st.droppedClient, 6209u);
 }
 
 TEST(QueueSwapDeterminism, ParallelSweepMatchesSerialExecution)

@@ -288,6 +288,82 @@ TEST(NdpKernels, InetChecksumChainMatchesContiguous)
     }
 }
 
+/**
+ * Independent RFC 1071 reference: big-endian byte pairs added one at a
+ * time into a 64-bit sum (a trailing odd byte is a high half), folded
+ * with end-around carries, then complemented.
+ */
+std::uint16_t
+refInetChecksum(std::span<const std::uint8_t> d, std::uint32_t seed = 0)
+{
+    std::uint64_t sum = seed;
+    for (std::size_t i = 0; i < d.size(); i += 2) {
+        sum += std::uint64_t(d[i]) << 8;
+        if (i + 1 < d.size())
+            sum += d[i + 1];
+    }
+    while (sum >> 16)
+        sum = (sum & 0xffff) + (sum >> 16);
+    return static_cast<std::uint16_t>(~sum);
+}
+
+/** @p m split into segments of odd lengths 1, 3, 5, ... (wrapping). */
+BufChain
+raggedChain(std::span<const std::uint8_t> m)
+{
+    BufChain chain;
+    std::size_t off = 0, step = 1;
+    while (off < m.size()) {
+        const std::size_t take = std::min(step, m.size() - off);
+        chain.append(Buffer::copyOf(m.subspan(off, take)));
+        off += take;
+        step = step >= 611 ? 1 : step + 2;
+    }
+    return chain;
+}
+
+TEST(NdpKernels, InetChecksumMatchesBytePairReference)
+{
+    // RFC 1071 §3 worked example: the words 0001 f203 f4f5 f6f7 sum
+    // to ddf2, so the checksum is its complement.
+    const std::vector<std::uint8_t> rfc = {0x00, 0x01, 0xf2, 0x03,
+                                           0xf4, 0xf5, 0xf6, 0xf7};
+    EXPECT_EQ(refInetChecksum(rfc), 0x220d);
+    EXPECT_EQ(net::inetChecksum(rfc), 0x220d);
+
+    // Random lengths at every start offset modulo a 64-bit word.
+    const auto msg = randomPayload(9001 + 8, 21);
+    Rng rng(5);
+    std::vector<std::size_t> lens = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17,
+                                     1499, 1500, 9000, 9001};
+    for (int i = 0; i < 40; ++i)
+        lens.push_back(rng.uniformInt(0, 9001));
+    for (const std::size_t n : lens) {
+        for (std::size_t start = 0; start < 8; ++start) {
+            const std::span<const std::uint8_t> m{msg.data() + start, n};
+            const std::uint16_t want = refInetChecksum(m, 0x1234);
+            EXPECT_EQ(net::inetChecksum(m, 0x1234), want)
+                << "len " << n << " start " << start;
+            EXPECT_EQ(net::inetChecksum(raggedChain(m), 0x1234), want)
+                << "chain len " << n << " start " << start;
+        }
+    }
+
+    // All-ones payloads up to the largest IPv4 datagram, seeded with
+    // a TCP pseudo-header sum: the widest sums the kernel must carry.
+    const std::vector<std::uint8_t> ones(65535, 0xff);
+    const std::uint32_t pseudo =
+        0xc0a8 + 0x0001 + 0xc0a8 + 0x0002 + 6 + 65535;
+    for (const std::size_t n : {1ul, 2ul, 3ul, 8ul, 9ul, 1500ul, 65534ul,
+                                65535ul}) {
+        const std::span<const std::uint8_t> m{ones.data(), n};
+        const std::uint16_t want = refInetChecksum(m, pseudo);
+        EXPECT_EQ(net::inetChecksum(m, pseudo), want) << "len " << n;
+        EXPECT_EQ(net::inetChecksum(raggedChain(m), pseudo), want)
+            << "chain len " << n;
+    }
+}
+
 } // namespace
 } // namespace ndp
 } // namespace dcs
